@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check no-unsafe bench bench-serve bench-ingest bench-infer bench-kernels loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
+.PHONY: all build test vet race check no-unsafe bench bench-serve bench-ingest bench-infer loadgen-smoke obs-smoke cluster-smoke cluster-obs-smoke clean
 
 all: check
 
@@ -16,8 +16,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The kernel tiers promise auto-vectorizable pure-Go loops: no unsafe may
-# enter the compute kernels or the quantizer.
+# The compute kernels stay pure Go: no unsafe may enter the linalg or nn
+# packages.
 no-unsafe:
 	@if grep -rn '"unsafe"' internal/linalg internal/nn --include='*.go'; then \
 		echo 'unsafe import found in kernel packages' >&2; exit 1; \
@@ -53,13 +53,6 @@ bench-ingest:
 # host-adaptive gate (>= 3x unfused on >= 4 CPUs, else >= 0.85x).
 bench-infer:
 	bash scripts/bench_infer.sh
-
-# Kernel-tier gate: single-core f64 vs f32 vs int8 microbenchmarks of the
-# GEMM kernels and the compiled inference engines; refreshes BENCH_PR10.json
-# and fails if the f32 tier misses its host-adaptive gate (>= 2x the f64
-# oracle on >= 4 CPUs, else >= 0.85x no-regression).
-bench-kernels:
-	bash scripts/bench_kernels.sh
 
 # Short closed-loop load smoke: boots freeway-serve, drives 2 streams for
 # ~2s, and fails on any request error.

@@ -16,7 +16,9 @@
 //   - open: requests are dispatched at a fixed -rate regardless of how the
 //     server keeps up; latency is measured from the *intended* dispatch
 //     time, so queueing delay is included — the right model for SLO checks
-//     (avoids coordinated omission).
+//     (avoids coordinated omission). Arrivals queue up to 4×-concurrency
+//     deep; an arrival that finds the queue full is dropped, reported as
+//     dropped_arrivals and counted as a failed request.
 //
 // Each request POSTs one labeled batch to /v1/streams/{id}/process, cycling
 // round-robin over -streams synthetic streams (two separable Gaussian
@@ -29,7 +31,7 @@
 // Latency lands in an internal/obs histogram; the summary prints
 // throughput, error count, and p50/p95/p99, and -out writes the same as
 // JSON for scripts/bench_serve.sh to fold into BENCH_PR5.json. Exit status
-// is nonzero when any request errored.
+// is nonzero when any request errored or any arrival was dropped.
 //
 // Cluster mode drives the distributed tier through a kill/restart schedule:
 //
@@ -91,7 +93,6 @@ func main() {
 		inferFrac = flag.Float64("infer-frac", 0, "fraction of requests sent label-less to /infer (read/write mix; 0 = pure training load)")
 		coalWin   = flag.Duration("coalesce-window", 0, "booted server's coalescing gather window")
 		coalRows  = flag.Int("coalesce-max-rows", 0, "booted server's fused-pass row bound")
-		tier      = flag.String("kernel-tier", "", "booted server's inference kernel tier: f64 | f32 | int8-infer (empty keeps the server default; ignored with -addr)")
 
 		cluster      = flag.Int("cluster", 0, "boot a freeway-router plus this many workers and load the router (0 keeps single-server mode)")
 		routerBin    = flag.String("router", "bin/freeway-router", "freeway-router binary for -cluster mode")
@@ -106,8 +107,7 @@ func main() {
 		duration: *duration, mode: *mode, rate: *rate, seed: *seed, out: *out,
 		proto: *proto, dtype: *dtype, inferFrac: *inferFrac,
 		coalesce: *coalesce, coalWindow: *coalWin, coalRows: *coalRows,
-		kernelTier: *tier,
-		cluster:    *cluster, routerBin: *routerBin,
+		cluster: *cluster, routerBin: *routerBin,
 		killAfter: *killAfter, restartAfter: *restartAfter, ckptEvery: *ckptEvery,
 	}
 	if err := run(cfg); err != nil {
@@ -130,7 +130,6 @@ type config struct {
 	coalesce     bool
 	coalWindow   time.Duration
 	coalRows     int
-	kernelTier   string
 
 	cluster                 int
 	routerBin               string
@@ -154,14 +153,16 @@ type summary struct {
 	P95Ms         float64 `json:"p95_ms"`
 	P99Ms         float64 `json:"p99_ms"`
 
+	// DroppedArrivals counts open-mode arrivals refused because the
+	// dispatch queue was full: requests never sent, so never timed. They
+	// count as failed in error_rate.
+	DroppedArrivals int64 `json:"dropped_arrivals"`
+
 	// Ingest-path descriptors (omitted in the default JSON configuration, so
 	// the summary stays byte-compatible with earlier consumers).
 	Proto    string `json:"proto,omitempty"`
 	Dtype    string `json:"dtype,omitempty"`
 	Coalesce bool   `json:"coalesce,omitempty"`
-	// KernelTier is the booted server's inference kernel tier (omitted when
-	// the server default — the f64 oracle — was kept or -addr was used).
-	KernelTier string `json:"kernel_tier,omitempty"`
 
 	// Read/write-mix report: the configured label-less fraction and how
 	// many requests actually took the inference plane.
@@ -169,7 +170,8 @@ type summary struct {
 	InferRequests int64   `json:"infer_requests,omitempty"`
 
 	// Cluster-mode failure-injection report. error_rate is the error
-	// budget actually consumed; recovery_s is how long after the kill the
+	// budget actually consumed (errors plus dropped arrivals over requests
+	// plus dropped arrivals); recovery_s is how long after the kill the
 	// last client-visible error landed (0 = the router's retry budget
 	// absorbed the failover with no errors at all).
 	Cluster         int     `json:"cluster,omitempty"`
@@ -265,7 +267,7 @@ func run(cfg config) error {
 
 	lat := obs.NewHistogram(nil)
 	hops := &hopStats{worker: obs.NewHistogram(nil), router: obs.NewHistogram(nil)}
-	var requests, errCount, inferReqs atomic.Int64
+	var requests, errCount, inferReqs, dropped atomic.Int64
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	// In open mode arrivals carry their intended dispatch time so queueing
@@ -291,7 +293,8 @@ func run(cfg config) error {
 					next = next.Add(interval)
 					select {
 					case arrivals <- next:
-					default: // queue full: the server is far behind; drop the arrival
+					default: // queue full: the server is far behind
+						dropped.Add(1)
 					}
 				}
 			}
@@ -394,12 +397,12 @@ func run(cfg config) error {
 		InferFrac:     cfg.inferFrac,
 		InferRequests: inferReqs.Load(),
 	}
+	s.DroppedArrivals = dropped.Load()
 	if cfg.proto != "json" {
 		s.Proto, s.Dtype = cfg.proto, cfg.dtype
 	}
-	s.KernelTier = cfg.kernelTier
-	if s.Requests > 0 {
-		s.ErrorRate = float64(s.Errors) / float64(s.Requests)
+	if offered := s.Requests + s.DroppedArrivals; offered > 0 {
+		s.ErrorRate = float64(s.Errors+s.DroppedArrivals) / float64(offered)
 	}
 	if cfg.cluster > 0 {
 		s.Cluster = cfg.cluster
@@ -421,8 +424,8 @@ func run(cfg config) error {
 	}
 	fmt.Printf("freeway-loadgen: %s mode, %d streams × %d workers × batch %d for %.1fs\n",
 		s.Mode, s.Streams, s.Concurrency, s.Batch, s.DurationS)
-	fmt.Printf("freeway-loadgen: %d requests (%d errors), %.0f req/s, %.0f samples/s\n",
-		s.Requests, s.Errors, s.ThroughputRPS, s.SamplesPerS)
+	fmt.Printf("freeway-loadgen: %d requests (%d errors, %d dropped_arrivals), %.0f req/s, %.0f samples/s\n",
+		s.Requests, s.Errors, s.DroppedArrivals, s.ThroughputRPS, s.SamplesPerS)
 	fmt.Printf("freeway-loadgen: latency p50=%.2fms p95=%.2fms p99=%.2fms\n", s.P50Ms, s.P95Ms, s.P99Ms)
 	if cfg.inferFrac > 0 {
 		fmt.Printf("freeway-loadgen: read/write mix: %d of %d requests were label-less infers (target %.0f%%)\n",
@@ -456,8 +459,8 @@ func run(cfg config) error {
 	if s.Requests == 0 {
 		return fmt.Errorf("no requests completed")
 	}
-	if s.Errors > 0 {
-		return fmt.Errorf("%d of %d requests failed", s.Errors, s.Requests)
+	if failed := s.Errors + s.DroppedArrivals; failed > 0 {
+		return fmt.Errorf("%d of %d requests failed (%d dropped arrivals)", failed, s.Requests+s.DroppedArrivals, s.DroppedArrivals)
 	}
 	return nil
 }
@@ -637,9 +640,6 @@ func bootServer(cfg config) (string, func(), error) {
 		"-classes", fmt.Sprint(cfg.classes),
 		"-model", cfg.model,
 		"-seed", fmt.Sprint(cfg.seed),
-	}
-	if cfg.kernelTier != "" {
-		args = append(args, "-kernel-tier", cfg.kernelTier)
 	}
 	if cfg.coalesce {
 		args = append(args, "-coalesce")

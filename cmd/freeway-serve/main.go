@@ -76,7 +76,6 @@ func main() {
 		coalesce  = flag.Bool("coalesce", false, "fuse concurrently arriving batches per stream into single compute passes")
 		coalWin   = flag.Duration("coalesce-window", 0, "extra gathering delay per fused pass (0 = pure group commit, no added idle latency)")
 		coalRows  = flag.Int("coalesce-max-rows", 0, "row bound per fused pass (0 = unbounded)")
-		tier      = flag.String("kernel-tier", "f64", "inference-plane kernel tier: f64 (bitwise oracle) | f32 | int8-infer; training always runs f64")
 	)
 	flag.Parse()
 	opts := serveOptions{
@@ -84,7 +83,6 @@ func main() {
 		maxSessions: *maxSess, sessionTTL: *sessTTL, sharedKnowledge: *sharedKdg,
 		shards: *shards, warmup: *warmup, traceCap: *traceCap, pprof: *pprofOn,
 		binAddr: *binAddr, coalesce: *coalesce, coalWindow: *coalWin, coalMaxRows: *coalRows,
-		kernelTier: *tier,
 	}
 	if err := run(*addr, *dim, *classes, *family, *seed, *guardPol, opts); err != nil {
 		log.Fatal(err)
@@ -108,7 +106,6 @@ type serveOptions struct {
 	coalesce        bool
 	coalWindow      time.Duration
 	coalMaxRows     int
-	kernelTier      string
 }
 
 func run(addr string, dim, classes int, family string, seed int64, guardPol string, o serveOptions) error {
@@ -121,7 +118,6 @@ func run(addr string, dim, classes int, family string, seed int64, guardPol stri
 		return err
 	}
 	cfg.Guard = pol
-	cfg.KernelTier = o.kernelTier
 	if o.warmup > 0 {
 		cfg.Shift.WarmupPoints = o.warmup
 	}

@@ -41,17 +41,11 @@ type Batch struct {
 	// ID is the stream the group belongs to.
 	ID string
 	// X holds the packed feature rows of every member, in submission order.
-	// nil for a native float32 group (X32 is set instead).
 	X [][]float64
-	// X32 holds the packed rows of a native float32 inference group (see
-	// SubmitInfer32); exactly one of X/X32 is non-nil.
-	X32 [][]float32
 	// Y holds the packed labels, or nil for an inference-only group.
 	Y []int
-	// Fused is the row-major tensor behind X (nil for float32 groups).
+	// Fused is the row-major tensor behind X.
 	Fused *linalg.Tensor
-	// Fused32 is the row-major tensor behind X32 (nil for float64 groups).
-	Fused32 *linalg.Tensor32
 	// Members is the number of submitted batches packed into this group.
 	Members int
 	// TraceIDs lists the request trace ids of the members that carried one,
@@ -140,10 +134,6 @@ type key struct {
 	// carries no per-stream training state and per-stream snapshots can be
 	// applied to row ranges of one fused slab.
 	infer bool
-	// f32 marks native float32 inference groups: their rows pack into the
-	// float32 slab and must never fuse with float64 groups (mixing would
-	// force an up-convert and lose the speed-tier's zero-widen property).
-	f32 bool
 }
 
 // group is one fused batch being gathered, queued, or run. All fields
@@ -153,8 +143,7 @@ type key struct {
 type group struct {
 	key     key
 	cols    int
-	flat    []float64 // packed row-major features (float64 groups)
-	flat32  []float32 // packed row-major features (native float32 groups)
+	flat    []float64 // packed row-major features
 	y       []int
 	rows    int
 	members int
@@ -210,7 +199,7 @@ func (c *Coalescer) Submit(ctx context.Context, id string, x [][]float64, y []in
 // group's membership, so the fused pass's TraceEvent can name every
 // request it served. An empty traceID leaves the membership untouched.
 func (c *Coalescer) SubmitTraced(ctx context.Context, id, traceID string, x [][]float64, y []int) (Result, error) {
-	return c.submit(ctx, key{id: id, labeled: y != nil}, id, traceID, x, nil, y)
+	return c.submit(ctx, key{id: id, labeled: y != nil}, id, traceID, x, y)
 }
 
 // SubmitInfer packs label-less rows into the cross-stream inference group:
@@ -220,50 +209,28 @@ func (c *Coalescer) SubmitTraced(ctx context.Context, id, traceID string, x [][]
 // sessions of one server share a feature dimensionality); a width change
 // seals the group like any other.
 func (c *Coalescer) SubmitInfer(ctx context.Context, id, traceID string, x [][]float64) (Result, error) {
-	return c.submit(ctx, key{infer: true}, id, traceID, x, nil, nil)
-}
-
-// SubmitInfer32 is SubmitInfer for natively narrow rows: float32 frames pack
-// into a float32 slab and the Runner receives Batch.X32/Fused32 — no value
-// is ever widened to float64 on this path. Float32 groups never fuse with
-// float64 groups (a separate key bit), so each pass is homogeneous.
-func (c *Coalescer) SubmitInfer32(ctx context.Context, id, traceID string, x [][]float32) (Result, error) {
-	return c.submit(ctx, key{infer: true, f32: true}, id, traceID, nil, x, nil)
+	return c.submit(ctx, key{infer: true}, id, traceID, x, nil)
 }
 
 // submit packs the rows into the open group for k — opening one if needed —
 // and blocks until the group's pass completes. segID names the member's
 // stream in Batch.Segs for cross-stream inference keys; per-stream keys
 // carry the stream in k.id and record no segments.
-func (c *Coalescer) submit(ctx context.Context, k key, segID, traceID string, x [][]float64, x32 [][]float32, y []int) (Result, error) {
-	nrows := len(x)
-	if k.f32 {
-		nrows = len(x32)
-	}
-	if nrows == 0 {
+func (c *Coalescer) submit(ctx context.Context, k key, segID, traceID string, x [][]float64, y []int) (Result, error) {
+	if len(x) == 0 {
 		return Result{}, errors.New("coalesce: empty batch")
 	}
-	var cols int
-	if k.f32 {
-		cols = len(x32[0])
-		for i := range x32 {
-			if len(x32[i]) != cols {
-				return Result{}, fmt.Errorf("coalesce: row %d has %d features, row 0 has %d", i, len(x32[i]), cols)
-			}
-		}
-	} else {
-		cols = len(x[0])
-		for i := range x {
-			if len(x[i]) != cols {
-				return Result{}, fmt.Errorf("coalesce: row %d has %d features, row 0 has %d", i, len(x[i]), cols)
-			}
-		}
-	}
+	cols := len(x[0])
 	if cols == 0 {
 		return Result{}, errors.New("coalesce: zero-width rows")
 	}
-	if y != nil && len(y) != nrows {
-		return Result{}, fmt.Errorf("coalesce: %d labels for %d rows", len(y), nrows)
+	for i := range x {
+		if len(x[i]) != cols {
+			return Result{}, fmt.Errorf("coalesce: row %d has %d features, row 0 has %d", i, len(x[i]), cols)
+		}
+	}
+	if y != nil && len(y) != len(x) {
+		return Result{}, fmt.Errorf("coalesce: %d labels for %d rows", len(y), len(x))
 	}
 
 	c.mu.Lock()
@@ -274,7 +241,7 @@ func (c *Coalescer) submit(ctx context.Context, k key, segID, traceID string, x 
 	}
 	g := ks.cur
 	if g != nil && (g.sealed || g.cols != cols ||
-		(c.cfg.MaxRows > 0 && g.rows > 0 && g.rows+nrows > c.cfg.MaxRows)) {
+		(c.cfg.MaxRows > 0 && g.rows > 0 && g.rows+len(x) > c.cfg.MaxRows)) {
 		// cur cannot take this member; seal it where it stands in the chain
 		// and open a fresh group behind it.
 		g.sealed = true
@@ -304,19 +271,13 @@ func (c *Coalescer) submit(ctx context.Context, k key, segID, traceID string, x 
 		}
 	}
 	lo := g.rows
-	if k.f32 {
-		for _, row := range x32 {
-			g.flat32 = append(g.flat32, row...)
-		}
-	} else {
-		for _, row := range x {
-			g.flat = append(g.flat, row...)
-		}
+	for _, row := range x {
+		g.flat = append(g.flat, row...)
 	}
 	if y != nil {
 		g.y = append(g.y, y...)
 	}
-	g.rows += nrows
+	g.rows += len(x)
 	member := g.members
 	g.members++
 	if traceID != "" {
@@ -363,22 +324,10 @@ func (c *Coalescer) runWhenReady(g *group) {
 	}
 	c.depth--
 	rows, cols := g.rows, g.cols
-	var fused *linalg.Tensor
-	var fused32 *linalg.Tensor32
-	var xv [][]float64
-	var xv32 [][]float32
-	if g.key.f32 {
-		fused32 = linalg.Tensor32View(g.flat32, rows, cols)
-		xv32 = make([][]float32, rows)
-		for i := range xv32 {
-			xv32[i] = g.flat32[i*cols : (i+1)*cols : (i+1)*cols]
-		}
-	} else {
-		fused = linalg.TensorView(g.flat, rows, cols)
-		xv = make([][]float64, rows)
-		for i := range xv {
-			xv[i] = g.flat[i*cols : (i+1)*cols : (i+1)*cols]
-		}
+	fused := linalg.TensorView(g.flat, rows, cols)
+	xv := make([][]float64, rows)
+	for i := range xv {
+		xv[i] = g.flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	if m := c.cfg.Metrics; m != nil {
 		m.Depth.Set(float64(c.depth))
@@ -391,7 +340,7 @@ func (c *Coalescer) runWhenReady(g *group) {
 	}
 	c.mu.Unlock()
 
-	out, err := c.cfg.Run(Batch{ID: g.key.id, X: xv, X32: xv32, Y: g.y, Fused: fused, Fused32: fused32, Members: g.members, TraceIDs: g.traces, Segs: g.segs})
+	out, err := c.cfg.Run(Batch{ID: g.key.id, X: xv, Y: g.y, Fused: fused, Members: g.members, TraceIDs: g.traces, Segs: g.segs})
 	if m := c.cfg.Metrics; m != nil {
 		m.Passes.Inc()
 	}

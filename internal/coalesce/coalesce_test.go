@@ -458,84 +458,3 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-// TestSubmitInfer32 pins the native float32 group: rows arrive as f32, the
-// Runner sees X32/Fused32 with no float64 slab, concurrent members fuse, and
-// f32 groups never share a pass with f64 inference groups.
-func TestSubmitInfer32(t *testing.T) {
-	gate := make(chan struct{})
-	var calls atomic.Int64
-	type seen struct {
-		x32     [][]float32
-		x       [][]float64
-		members int
-	}
-	run := func(b Batch) (any, error) {
-		if calls.Add(1) == 1 {
-			<-gate
-		}
-		if b.X32 != nil && (b.X != nil || b.Fused != nil) {
-			t.Error("f32 group carried a float64 slab")
-		}
-		cp := make([][]float32, len(b.X32))
-		for i, r := range b.X32 {
-			cp[i] = append([]float32(nil), r...)
-		}
-		return seen{x32: cp, x: b.X, members: b.Members}, nil
-	}
-	c, err := New(Config{Run: run})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := c.SubmitInfer32(context.Background(), "a", "", [][]float32{{1, 2}})
-		firstDone <- err
-	}()
-	waitFor(t, func() bool { return calls.Load() == 1 })
-
-	// While the f32 pass is held, an f64 inference submit must run in its
-	// own group (different key), not queue behind the f32 one.
-	if _, err := c.SubmitInfer(context.Background(), "b", "", [][]float64{row(9, 9)}); err != nil {
-		t.Fatal(err)
-	}
-
-	second := make(chan Result, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := c.SubmitInfer32(context.Background(), fmt.Sprintf("s%d", i), "",
-				[][]float32{{float32(i), 5}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			second <- res
-		}()
-	}
-	waitFor(t, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		ks := c.keys[key{infer: true, f32: true}]
-		return ks != nil && ks.cur != nil && ks.cur.members == 2
-	})
-	close(gate)
-	wg.Wait()
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	close(second)
-	for res := range second {
-		out := res.Out.(seen)
-		if out.members != 2 || len(out.x32) != 2 {
-			t.Fatalf("fused f32 group: %+v", out)
-		}
-		if got := out.x32[res.Lo][1]; got != 5 {
-			t.Fatalf("scatter row [%d:%d) = %v", res.Lo, res.Hi, out.x32[res.Lo])
-		}
-	}
-}

@@ -13,7 +13,6 @@ import (
 
 	"freewayml/internal/guard"
 	"freewayml/internal/knowledge"
-	"freewayml/internal/linalg"
 	"freewayml/internal/model"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -103,11 +102,8 @@ type Config struct {
 	// Watchdog configures the divergence watchdog that rolls a model back
 	// to a last-healthy snapshot on NaN/Inf weights or a loss explosion.
 	Watchdog WatchdogConfig
-	// KernelTier selects the inference-plane kernel tier: "f64" (or empty,
-	// the bitwise-reproducible oracle default), "f32" (the float32 speed
-	// tier), or "int8-infer" (f32 plus int8-quantized dense weights).
-	// Training always runs the f64 oracle kernels regardless of tier, so
-	// checkpoints and the prequential protocol are tier-independent.
+	// KernelTier names the inference kernels. Only the f64 kernels remain,
+	// so it must be "" or "f64"; any other value fails Validate.
 	KernelTier string
 	// SharedKnowledge, when non-nil, makes the learner use this
 	// process-wide knowledge store instead of building its own, so
@@ -183,9 +179,8 @@ func (c Config) Validate() error {
 		// bypassing the scaler; combining them would train on inconsistent
 		// views.
 		return errors.New("core: Standardize and Precompute are mutually exclusive")
-	}
-	if _, err := linalg.ParseKernelTier(c.KernelTier); err != nil {
-		return fmt.Errorf("core: %w", err)
+	case c.KernelTier != "" && c.KernelTier != "f64":
+		return fmt.Errorf("core: KernelTier %q: the f32 and int8-infer speed tiers were removed; only f64 remains", c.KernelTier)
 	}
 	if err := c.Watchdog.Validate(); err != nil {
 		return err

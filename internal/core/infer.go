@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"freewayml/internal/guard"
-	"freewayml/internal/linalg"
 	"freewayml/internal/pca"
 	"freewayml/internal/shift"
 	"freewayml/internal/strategy"
@@ -49,42 +48,21 @@ func (l *Learner) publishSnapshot(pattern shift.Pattern) {
 	if l.det.Ready() {
 		proj = l.det.PCA()
 	}
-	members := l.ens.PublishSnapshot()
-	var quantMats int
-	var scaleMin, scaleMax float64
-	for _, m := range members {
-		if m.Engine == nil {
-			continue
-		}
-		quantMats += m.Engine.QuantMats()
-		mn, mx := m.Engine.ScaleStats()
-		if mn > 0 && (scaleMin == 0 || float64(mn) < scaleMin) {
-			scaleMin = float64(mn)
-		}
-		if float64(mx) > scaleMax {
-			scaleMax = float64(mx)
-		}
-	}
 	l.snapSeq++
 	l.snap.Store(&strategy.Snapshot{
-		ComputeMu:     &l.inferMu,
-		Members:       members,
-		Sigma:         l.cfg.Sigma,
-		Proj:          proj,
-		Knowledge:     l.kdg,
-		Experience:    l.exp.Len(),
-		Pattern:       pattern,
-		Batch:         l.batch,
-		Seq:           l.snapSeq,
-		PublishedAt:   time.Now(),
-		Dim:           l.dim,
-		Classes:       l.classes,
-		Tier:          l.tier,
-		QuantMats:     quantMats,
-		QuantScaleMin: scaleMin,
-		QuantScaleMax: scaleMax,
+		ComputeMu:   &l.inferMu,
+		Members:     l.ens.PublishSnapshot(),
+		Sigma:       l.cfg.Sigma,
+		Proj:        proj,
+		Knowledge:   l.kdg,
+		Experience:  l.exp.Len(),
+		Pattern:     pattern,
+		Batch:       l.batch,
+		Seq:         l.snapSeq,
+		PublishedAt: time.Now(),
+		Dim:         l.dim,
+		Classes:     l.classes,
 	})
-	l.obs.SnapshotPublished(l.tier, l.ens.QuantizedBuilt())
 }
 
 // Infer predicts one group of label-less rows from the published snapshot.
@@ -143,58 +121,8 @@ func (l *Learner) InferFused(ctx context.Context, groups [][][]float64) ([]Infer
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	elapsed := time.Since(start)
-	return l.inferResults(snap, outs, elapsed), nil
-}
-
-// InferFused32 is InferFused for natively narrow rows: float32 wire frames
-// reach the snapshot's f32/int8 engines without an f64 up-convert. Members
-// without a compiled engine (tier f64, or an engine-incompatible model) fall
-// back to a single lazily widened copy inside the snapshot. Validation
-// mirrors InferFused: non-finite features are rejected, never repaired —
-// the read path stays pure.
-func (l *Learner) InferFused32(ctx context.Context, groups [][][]float32) ([]InferResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, g := range groups {
-		if len(g) == 0 {
-			return nil, errors.New("core: infer: empty batch")
-		}
-		for _, row := range g {
-			if len(row) != l.dim {
-				return nil, fmt.Errorf("core: infer: row has %d features, want %d", len(row), l.dim)
-			}
-			for _, v := range row {
-				if v != v || math.IsInf(float64(v), 0) {
-					return nil, fmt.Errorf("core: infer: non-finite feature: %w", guard.ErrRejected)
-				}
-			}
-		}
-		total += len(g)
-	}
-	if total == 0 {
-		return nil, errors.New("core: infer: no rows")
-	}
-	start := time.Now()
-	snap := l.snap.Load()
-	outs, err := snap.InferFused32(groups)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	elapsed := time.Since(start)
-	return l.inferResults(snap, outs, elapsed), nil
-}
-
-// inferResults maps snapshot outputs to InferResults and feeds the
-// observability layer (per-group throughput, plus the dequantization
-// histogram when the snapshot serves through the int8 tier).
-func (l *Learner) inferResults(snap *strategy.Snapshot, outs []strategy.InferOutput, elapsed time.Duration) []InferResult {
 	age := snap.Age()
-	results := make([]InferResult, len(outs))
+	results := make([]InferResult, len(groups))
 	for i, out := range outs {
 		st := StrategyEnsemble
 		if out.Warmup {
@@ -211,8 +139,5 @@ func (l *Learner) inferResults(snap *strategy.Snapshot, outs []strategy.InferOut
 		}
 		l.obs.InferObserved(len(out.Pred), elapsed, age, snap.Batch, out.Warmup)
 	}
-	if snap.Tier == linalg.TierInt8 {
-		l.obs.DequantObserved(elapsed)
-	}
-	return results
+	return results, nil
 }

@@ -152,9 +152,7 @@ const gemmBlockK = 128
 const parallelFlopCutoff = 1 << 16
 
 // parallelRows splits [0, rows) into roughly equal chunks and runs body on
-// each chunk, in parallel when flops crosses the cutoff. The fan-out mirrors
-// internal/parallel's WaitGroup pattern; it lives here because linalg sits
-// below that package in the dependency order.
+// each chunk, in parallel when flops crosses the cutoff.
 func parallelRows(rows, flops int, body func(i0, i1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if flops < parallelFlopCutoff || workers <= 1 || rows <= 1 {

@@ -193,7 +193,7 @@ func TestAxpy(t *testing.T) {
 
 // TestParallelGemmRace hammers the parallel kernel path from many goroutines
 // sharing read-only A and B with distinct C buffers — the exact pattern the
-// nn layers produce when parallel.Group members train concurrently. Run
+// nn layers produce when many streams' models train concurrently. Run
 // under -race (make check does) to verify the fan-out is data-race free.
 func TestParallelGemmRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))

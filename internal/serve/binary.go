@@ -40,20 +40,10 @@ var (
 
 func getFrame() *wire.Frame {
 	f := framePool.Get().(*wire.Frame)
-	f.KeepF32 = false // pooled frames are shared across handlers; opt back in per use
 	if f.Tensor() == nil {
 		f.Arm(frameTensors.Get(0, 0))
 	}
 	return f
-}
-
-// frameRows returns the decoded row count regardless of which slab (f64 or
-// native f32) the frame filled.
-func frameRows(f *wire.Frame) int {
-	if f.X32 != nil {
-		return len(f.X32)
-	}
-	return len(f.X)
 }
 
 func putFrame(f *wire.Frame) { framePool.Put(f) }
@@ -164,10 +154,6 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 
 	f := getFrame()
 	defer putFrame(f)
-	// Under a speed tier, unlabeled float32 frames decode natively — the
-	// read plane consumes them without ever widening to float64. Labeled
-	// frames always widen (the training plane is the f64 oracle).
-	f.KeepF32 = s.tier != linalg.TierF64
 	var scratch []byte
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -208,7 +194,7 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 			// state. (The HTTP /v1/process endpoint keeps its historical
 			// label-less-means-train-unsupervised contract; the split applies
 			// only here and on /infer, where the intent is unambiguous.)
-			rec := s.beginInferSpan(f.ID, "binary", "", f.Traceparent, frameRows(f))
+			rec := s.beginInferSpan(f.ID, "binary", "", f.Traceparent, len(f.X))
 			var ir InferResponse
 			ir, status, perr = s.inferDecodedFrame(context.Background(), f.ID, rec.traceID(), f)
 			rec.finish(ir.Fused, perr)

@@ -21,7 +21,6 @@ import (
 	"freewayml/internal/coalesce"
 	"freewayml/internal/core"
 	"freewayml/internal/guard"
-	"freewayml/internal/linalg"
 	"freewayml/internal/obs"
 	"freewayml/internal/shift"
 	"freewayml/internal/wire"
@@ -111,8 +110,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, id string) 
 func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id string, body []byte) {
 	f := getFrame()
 	defer putFrame(f)
-	// Speed tiers consume float32 inference frames natively (no f64 slab).
-	f.KeepF32 = s.tier != linalg.TierF64
 	if err := f.DecodeInto(body); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
@@ -130,7 +127,7 @@ func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id st
 		s.writeError(w, http.StatusBadRequest, "infer frames must be label-less: submit labeled frames to /process")
 		return
 	}
-	rec := s.beginInferSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, frameRows(f))
+	rec := s.beginInferSpan(id, "binary", r.Header.Get(obs.TraceparentHeader), f.Traceparent, len(f.X))
 	out, status, err := s.inferDecodedFrame(r.Context(), id, rec.traceID(), f)
 	rec.finish(out.Fused, err)
 	rec.setHeaders(w.Header())
@@ -148,12 +145,6 @@ func (s *Server) handleInferBinary(w http.ResponseWriter, r *http.Request, id st
 // and warm frames stay allocation-free — no Detach, unlike the process
 // plane's direct path.
 func (s *Server) inferDecodedFrame(ctx context.Context, id, traceID string, f *wire.Frame) (InferResponse, int, error) {
-	if f.X32 != nil {
-		if err := validateInferRows32(f.X32, s.dim, s.classes); err != nil {
-			return InferResponse{}, inferValidationStatus(err), err
-		}
-		return s.infer32(ctx, id, traceID, f.X32)
-	}
 	if err := validateInferRows(f.X, s.dim, s.classes); err != nil {
 		return InferResponse{}, inferValidationStatus(err), err
 	}
@@ -179,29 +170,6 @@ func (s *Server) infer(ctx context.Context, id, traceID string, x [][]float64) (
 		return InferResponse{}, s.errStatus(err), err
 	}
 	return s.buildInferResponse(id, res, 0), http.StatusOK, nil
-}
-
-// infer32 routes one natively narrow batch to the stream's snapshot —
-// directly, or through the f32 cross-stream inference coalescer. The rows
-// stay float32 end to end; members without a compiled engine widen once
-// inside the snapshot.
-func (s *Server) infer32(ctx context.Context, id, traceID string, x [][]float32) (InferResponse, int, error) {
-	if s.inferCoal != nil {
-		sub, err := s.inferCoal.SubmitInfer32(ctx, id, traceID, x)
-		if err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		g := sub.Out.(*inferGroupOut)
-		if err := g.errs[sub.Member]; err != nil {
-			return InferResponse{}, s.errStatus(err), err
-		}
-		return s.buildInferResponse(id, g.results[sub.Member], sub.Members), http.StatusOK, nil
-	}
-	results, err := s.mgr.InferFused32(ctx, id, [][][]float32{x})
-	if err != nil {
-		return InferResponse{}, s.errStatus(err), err
-	}
-	return s.buildInferResponse(id, results[0], 0), http.StatusOK, nil
 }
 
 // buildInferResponse shapes an inference result into the wire response.
@@ -246,25 +214,14 @@ func (s *Server) runInferGroup(b coalesce.Batch) (any, error) {
 	}
 	for _, id := range order {
 		idxs := byStream[id]
+		groups := make([][][]float64, len(idxs))
+		for j, i := range idxs {
+			seg := b.Segs[i]
+			groups[j] = b.X[seg.Lo:seg.Hi]
+		}
 		// The pass runs detached from any member's request context, like the
 		// process plane's fused passes.
-		var results []core.InferResult
-		var err error
-		if b.X32 != nil {
-			groups := make([][][]float32, len(idxs))
-			for j, i := range idxs {
-				seg := b.Segs[i]
-				groups[j] = b.X32[seg.Lo:seg.Hi]
-			}
-			results, err = s.mgr.InferFused32(context.Background(), id, groups)
-		} else {
-			groups := make([][][]float64, len(idxs))
-			for j, i := range idxs {
-				seg := b.Segs[i]
-				groups[j] = b.X[seg.Lo:seg.Hi]
-			}
-			results, err = s.mgr.InferFused(context.Background(), id, groups)
-		}
+		results, err := s.mgr.InferFused(context.Background(), id, groups)
 		if err != nil {
 			for _, i := range idxs {
 				out.errs[i] = err
@@ -314,24 +271,6 @@ func validateInferRows(x [][]float64, dim, classes int) error {
 	for _, row := range x {
 		for _, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("non-finite feature value: %w", guard.ErrRejected)
-			}
-		}
-	}
-	return nil
-}
-
-// validateInferRows32 is validateInferRows for natively narrow rows.
-func validateInferRows32(x [][]float32, dim, classes int) error {
-	if len(x) == 0 {
-		return errors.New("x must contain at least one row")
-	}
-	for i, row := range x {
-		if len(row) != dim {
-			return fmt.Errorf("row %d has %d features, want %d", i, len(row), dim)
-		}
-		for _, v := range row {
-			if v != v || math.IsInf(float64(v), 0) {
 				return fmt.Errorf("non-finite feature value: %w", guard.ErrRejected)
 			}
 		}

@@ -305,11 +305,6 @@ type Server struct {
 	scfg    session.Config
 	pprofOn bool
 
-	// tier is the inference-plane kernel tier (from the learner config).
-	// Under a speed tier the binary ingest path decodes float32 inference
-	// frames natively and routes them through the f32 read plane.
-	tier linalg.KernelTier
-
 	coalesceOn  bool
 	coalWindow  time.Duration
 	coalMaxRows int
@@ -366,11 +361,6 @@ func New(cfg core.Config, dim, classes int, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	tier, err := linalg.ParseKernelTier(cfg.KernelTier)
-	if err != nil {
-		return nil, err
-	}
-	s.tier = tier
 	s.spans = obs.NewSpanRing(s.spanCap)
 	mgr, err := session.NewManager(s.scfg)
 	if err != nil {

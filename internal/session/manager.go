@@ -551,19 +551,6 @@ func (m *Manager) InferFused(ctx context.Context, id string, groups [][][]float6
 	return s.InferFused(ctx, groups)
 }
 
-// InferFused32 routes natively narrow groups to the session for id — the
-// float32 twin of InferFused, used by the speed-tier binary ingest path.
-func (m *Manager) InferFused32(ctx context.Context, id string, groups [][][]float32) ([]core.InferResult, error) {
-	s, ok := m.lookup(id)
-	if !ok {
-		var err error
-		if s, err = m.Ensure(id); err != nil {
-			return nil, err
-		}
-	}
-	return s.InferFused32(ctx, groups)
-}
-
 // Get returns the resident session for id (ok=false when absent — Get never
 // creates). Invalid ids are simply not resident.
 func (m *Manager) Get(id string) (*Session, bool) {

@@ -113,13 +113,6 @@ func (s *Session) InferFused(ctx context.Context, groups [][][]float64) ([]core.
 	return s.learner.InferFused(ctx, groups)
 }
 
-// InferFused32 is InferFused for natively narrow rows (float32 wire frames
-// under a speed tier). Lock-free like Infer.
-func (s *Session) InferFused32(ctx context.Context, groups [][][]float32) ([]core.InferResult, error) {
-	s.touch()
-	return s.learner.InferFused32(ctx, groups)
-}
-
 // ModelSnapshot returns the session's currently published inference
 // snapshot without taking s.mu. (Snapshot() — the stats summary — predates
 // the inference plane and keeps its name.)
